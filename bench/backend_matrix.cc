@@ -18,10 +18,8 @@
 // scheduler touches on backends with native batch ops, at an O(k*q)
 // rank-error cost the quality columns make visible next to the throughput
 // gain. SSSP's executor batches the same way (pop_batch keys per claim,
-// relaxations re-inserted via one bulk_insert). The axis accepts the same
-// vocabulary as the CLIs — fixed sizes, `auto`, and `auto:<max>` — so the
-// occupancy-aware adaptive controller gets its own rows next to the fixed
-// caps it is supposed to track (printed as a<max> in the batch column).
+// relaxations re-inserted via one bulk_insert). Each axis entry is a
+// positive integer, the same vocabulary as the CLIs' --pop-batch.
 //
 // --json=<path> additionally writes every row as a JSON array — the
 // machine-readable form CI uploads as the BENCH_backend_matrix.json
@@ -36,7 +34,7 @@
 // and an off-vs-virtual regression shows up cell by cell.
 //
 // Usage: backend_matrix [--n=4000] [--m=24000] [--threads=1,4]
-//                       [--pop-batch=1,8,auto:8]
+//                       [--pop-batch=1,8]
 //                       [--numa=off,virtual:2]
 //                       [--backends=all|name,name,...]
 //                       [--quality=1] [--repeat=3] [--seed=1] [--json=path]
@@ -68,7 +66,6 @@ struct Row {
   std::string backend;
   unsigned threads;
   unsigned pop_batch;
-  bool pop_batch_auto;
   std::string numa;  // topology spec label: off | auto | virtual:K
   double seconds;
   double tasks_per_s;
@@ -79,16 +76,10 @@ struct Row {
   std::uint64_t max_rank;
 };
 
-/// The batch column: a fixed size prints as the number, an adaptive row as
-/// a<cap> (e.g. a8 == --pop-batch=auto:8).
-std::string batch_label(const Row& r) {
-  return (r.pop_batch_auto ? "a" : "") + std::to_string(r.pop_batch);
-}
-
 void print_row(const Row& r) {
-  std::printf("%-9s %-20s %7u %6s %-10s %9.4f %12.0f %10.3f %8.2f%%",
+  std::printf("%-9s %-20s %7u %6u %-10s %9.4f %12.0f %10.3f %8.2f%%",
               r.workload, r.backend.c_str(), r.threads,
-              batch_label(r).c_str(), r.numa.c_str(), r.seconds,
+              r.pop_batch, r.numa.c_str(), r.seconds,
               r.tasks_per_s, r.iters_per_task, 100.0 * r.wasted_frac);
   if (r.slice_p99_us >= 0.0) {
     std::printf("%10.1f", r.slice_p99_us);
@@ -118,12 +109,12 @@ bool write_json(const char* path, const std::vector<Row>& rows) {
     std::fprintf(f,
                  "  {\"workload\": \"%s\", \"backend\": \"%s\", "
                  "\"threads\": %u, \"pop_batch\": %u, "
-                 "\"pop_batch_auto\": %s, \"numa\": \"%s\", "
+                 "\"numa\": \"%s\", "
                  "\"seconds\": %.6f, "
                  "\"tasks_per_s\": %.1f, \"iters_per_task\": %.4f, "
                  "\"wasted_frac\": %.6f, ",
                  r.workload, r.backend.c_str(), r.threads, r.pop_batch,
-                 r.pop_batch_auto ? "true" : "false", r.numa.c_str(),
+                 r.numa.c_str(),
                  r.seconds, r.tasks_per_s, r.iters_per_task, r.wasted_frac);
     if (r.slice_p99_us >= 0.0) {
       std::fprintf(f, "\"slice_p99_us\": %.2f, ", r.slice_p99_us);
@@ -152,7 +143,7 @@ bool write_json(const char* path, const std::vector<Row>& rows) {
 template <typename MakeProblem>
 Row run_framework(const char* workload, const BackendInfo& backend,
                   unsigned threads,
-                  const relax::engine::PopBatchFlag& pop_batch,
+                  std::uint32_t pop_batch,
                   const relax::util::TopologySpec& numa,
                   const relax::graph::Priorities& pri,
                   MakeProblem make_problem, bool quality, unsigned repeat,
@@ -166,8 +157,7 @@ Row run_framework(const char* workload, const BackendInfo& backend,
 
   relax::engine::JobConfig cfg;
   cfg.seed = seed;
-  cfg.pop_batch = pop_batch.batch;
-  cfg.pop_batch_auto = pop_batch.adaptive;
+  cfg.pop_batch = pop_batch;
 
   std::vector<ExecutionStats> trials;
   std::uint32_t n = 0;
@@ -187,8 +177,7 @@ Row run_framework(const char* workload, const BackendInfo& backend,
   row.workload = workload;
   row.backend = std::string(backend.name);
   row.threads = threads;
-  row.pop_batch = pop_batch.batch;
-  row.pop_batch_auto = pop_batch.adaptive;
+  row.pop_batch = pop_batch;
   row.numa = numa.label();
   row.seconds = stats.seconds;
   row.tasks_per_s = stats.seconds > 0.0 ? n / stats.seconds : 0.0;
@@ -245,9 +234,7 @@ std::vector<std::string> split_axis(const char* flag,
       "24000)\n"
       "  --threads=<list>         thread-count axis (default 1,4)\n"
       "  --pop-batch=<list>       labels per scheduler touch, each entry\n"
-      "                           <k>, 'auto', or 'auto:<max>' — 'auto'\n"
-      "                           enables the adaptive controller\n"
-      "                           (default 1,8,auto:8)\n"
+      "                           <k>, a positive integer (default 1,8)\n"
       "  --numa=<list>            topology-aware placement axis, each\n"
       "                           entry off|auto|virtual:<K>; virtual:K\n"
       "                           splits workers into K synthetic domains\n"
@@ -275,20 +262,19 @@ int main(int argc, char** argv) {
       static_cast<unsigned>(std::max<std::int64_t>(cli.get_int("repeat", 3), 1));
   const auto thread_list = cli.get_int_list("threads", {1, 4});
 
-  // The pop-batch axis speaks the CLI vocabulary (fixed | auto | auto:max)
-  // so adaptive rows sit next to the fixed caps they should track.
-  std::vector<relax::engine::PopBatchFlag> batch_list;
+  // The pop-batch axis speaks the CLI vocabulary (<k>, a positive integer).
+  std::vector<std::uint32_t> batch_list;
   for (const std::string& token :
-       split_axis("pop-batch", cli.get_string("pop-batch", "1,8,auto:8"))) {
+       split_axis("pop-batch", cli.get_string("pop-batch", "1,8"))) {
     const auto pb = relax::engine::parse_pop_batch_flag(token);
-    if (!pb.valid) {
+    if (!pb) {
       std::fprintf(stderr,
-                   "invalid --pop-batch entry '%s': expected a positive "
-                   "integer, 'auto', or 'auto:<max>'\n",
+                   "invalid --pop-batch entry '%s': expected <k>, a positive "
+                   "integer\n",
                    token.c_str());
       return 2;
     }
-    batch_list.push_back(pb);
+    batch_list.push_back(*pb);
   }
 
   // The numa axis speaks the CLI vocabulary too (off | auto | virtual:K);
@@ -349,7 +335,7 @@ int main(int argc, char** argv) {
 
   for (const std::int64_t t : thread_list) {
     const auto threads = static_cast<unsigned>(t < 1 ? 1 : t);
-    for (const relax::engine::PopBatchFlag& pop_batch : batch_list) {
+    for (const std::uint32_t pop_batch : batch_list) {
       for (const relax::util::TopologySpec& numa : numa_list) {
       for (const BackendInfo* backend : backends) {
         emit(run_framework(
@@ -370,15 +356,13 @@ int main(int argc, char** argv) {
         // SSSP rides its own 64-bit-key MultiQueue (see header note): one
         // row per (thread count, pop-batch), attached to multiqueue-c2 —
         // its label-correcting executor batches both scheduler sides with
-        // the same pop_batch (and the same adaptive controller) the
-        // framework rows sweep.
+        // the same pop_batch the framework rows sweep.
         if (backend->name == "multiqueue-c2") {
           relax::algorithms::SsspOptions sssp_opts;
           sssp_opts.num_threads = threads;
           sssp_opts.queue_factor = 4;
           sssp_opts.seed = seed;
-          sssp_opts.pop_batch = pop_batch.batch;
-          sssp_opts.pop_batch_auto = pop_batch.adaptive;
+          sssp_opts.pop_batch = pop_batch;
           sssp_opts.topology = numa;
           // Same median-of-repeat discipline as the framework rows.
           std::vector<relax::algorithms::SsspStats> strials(repeat);
@@ -396,8 +380,7 @@ int main(int argc, char** argv) {
           row.workload = "sssp";
           row.backend = std::string(backend->name);
           row.threads = threads;
-          row.pop_batch = pop_batch.batch;
-          row.pop_batch_auto = pop_batch.adaptive;
+          row.pop_batch = pop_batch;
           row.numa = numa.label();
           row.seconds = sstats.seconds;
           row.tasks_per_s =

@@ -236,11 +236,11 @@ int main(int argc, char** argv) {
         f,
         "[\n"
         "  {\"workload\": \"qos-fairness\", \"backend\": \"tenant-heavy\", "
-        "\"threads\": %u, \"pop_batch\": 1, \"pop_batch_auto\": false, "
+        "\"threads\": %u, \"pop_batch\": 1, "
         "\"tasks_per_s\": %.1f, \"weight\": %u, \"share_ratio\": %.4f, "
         "\"weight_ratio\": %.4f},\n"
         "  {\"workload\": \"qos-fairness\", \"backend\": \"tenant-light\", "
-        "\"threads\": %u, \"pop_batch\": 1, \"pop_batch_auto\": false, "
+        "\"threads\": %u, \"pop_batch\": 1, "
         "\"tasks_per_s\": %.1f, \"weight\": %u, \"slice_p99_us\": %.1f}\n"
         "]\n",
         threads, static_cast<double>(heavy_iters) / seconds, heavy_w,

@@ -17,7 +17,7 @@
 // Usage: bench_server_load --port=<p> [--host=127.0.0.1]
 //          [--connections=4] [--rate=200] [--time-ms=2000]
 //          [--kind=mis|coloring|matching|mix] [--backend=<name>]
-//          [--pop-batch=<k>|auto[:max]] [--audit-every=0] [--seed=1]
+//          [--pop-batch=<k>] [--audit-every=0] [--seed=1]
 //          [--drain-ms=2000] [--weights=a,b,c]
 //
 // --weights assigns QoS weights per *connection* (connection i takes
@@ -75,10 +75,8 @@ using Clock = std::chrono::steady_clock;
       "                           (default mix)\n"
       "  --backend=<name>         scheduler backend each request names\n"
       "                           ('' = server default)\n"
-      "  --pop-batch=<k>|auto[:max]\n"
-      "                           per-request pop batch; 'auto' requests\n"
-      "                           the adaptive controller (default:\n"
-      "                           server default)\n"
+      "  --pop-batch=<k>          per-request pop batch, a positive\n"
+      "                           integer (default: server default)\n"
       "  --audit-every=<k>        every k-th request runs under the\n"
       "                           Definition 1 relaxation monitor\n"
       "                           (0 = never; default 0)\n"
@@ -281,13 +279,11 @@ int main(int argc, char** argv) {
   }
 
   std::uint32_t pop_batch = 0;
-  bool pop_batch_auto = false;
   if (cli.has("pop-batch")) {
     const auto pb = relax::server::cli::parse_pop_batch(
         cli.get_string("pop-batch", "1"));
     if (!pb) return 2;
-    pop_batch = pb->batch;
-    pop_batch_auto = pb->adaptive;
+    pop_batch = *pb;
   }
 
   std::vector<std::uint32_t> weights{0};
@@ -345,7 +341,6 @@ int main(int argc, char** argv) {
     req.kind = kinds[static_cast<std::size_t>(sent) % kinds.size()];
     req.graph_id = 0;
     req.pop_batch = pop_batch;
-    req.pop_batch_auto = pop_batch_auto;
     req.audit = audit_every > 0 &&
                 (sent % static_cast<std::uint64_t>(audit_every)) == 0;
     req.seed = seed + sent;

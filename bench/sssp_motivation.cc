@@ -61,9 +61,11 @@ int main(int argc, char** argv) {
     relax::algorithms::SsspStats best_stats;
     for (int t = 0; t < trials; ++t) {
       relax::algorithms::SsspStats stats;
+      relax::algorithms::SsspOptions opts;
+      opts.num_threads = static_cast<unsigned>(tc);
+      opts.seed = seed + t;
       const auto dist = relax::algorithms::parallel_relaxed_sssp(
-          g, weights, kSource, static_cast<unsigned>(tc), 4, seed + t,
-          /*pop_batch=*/1, &stats);
+          g, weights, kSource, opts, &stats);
       if (dist != reference) {
         std::fprintf(stderr, "ERROR: SSSP distances mismatch!\n");
         return 1;
@@ -86,9 +88,12 @@ int main(int argc, char** argv) {
               "stale_frac");
   for (const unsigned factor : {1u, 2u, 4u, 8u, 16u}) {
     relax::algorithms::SsspStats stats;
+    relax::algorithms::SsspOptions opts;
+    opts.num_threads = static_cast<unsigned>(hw);
+    opts.queue_factor = factor;
+    opts.seed = seed;
     const auto dist = relax::algorithms::parallel_relaxed_sssp(
-        g, weights, kSource, static_cast<unsigned>(hw), factor, seed,
-        /*pop_batch=*/1, &stats);
+        g, weights, kSource, opts, &stats);
     if (dist != reference) {
       std::fprintf(stderr, "ERROR: SSSP distances mismatch!\n");
       return 1;

@@ -53,16 +53,12 @@ std::vector<std::string> split_axis(const std::string& flag,
   return *tokens;
 }
 
-std::string batch_label(const SteadyCell& c) {
-  return (c.pop_batch_auto ? "a" : "") + std::to_string(c.pop_batch);
-}
-
 void print_row(const SteadyCell& c) {
-  std::printf("%-20s %-11s %-10s %7u %6s %-10s %12.0f %11llu %9llu",
+  std::printf("%-20s %-11s %-10s %7u %6u %-10s %12.0f %11llu %9llu",
               c.backend.c_str(),
               std::string(insert_policy_name(c.policy)).c_str(),
               std::string(key_distribution_name(c.distribution)).c_str(),
-              c.threads, batch_label(c).c_str(), c.numa.c_str(), c.ops_per_s,
+              c.threads, c.pop_batch, c.numa.c_str(), c.ops_per_s,
               static_cast<unsigned long long>(c.ops),
               static_cast<unsigned long long>(c.empty_pops));
   if (c.op_p99_us >= 0.0) {
@@ -110,9 +106,7 @@ bool write_json(const char* path, const std::vector<SteadyCell>& cells) {
       "                           spraylist)\n"
       "  --threads=<list>         thread-count axis (default 1,4)\n"
       "  --pop-batch=<list>       labels per scheduler touch, each entry\n"
-      "                           <k>, 'auto', or 'auto:<max>' — 'auto'\n"
-      "                           enables the adaptive controller\n"
-      "                           (default 1,8)\n"
+      "                           <k>, a positive integer (default 1,8)\n"
       "  --numa=<list>            topology-aware placement axis, each\n"
       "                           entry off|auto|virtual:<K>; virtual:K\n"
       "                           splits workers into K synthetic domains\n"
@@ -151,18 +145,18 @@ int main(int argc, char** argv) {
 
   const auto thread_list = cli.get_int_list("threads", {1, 4});
 
-  std::vector<relax::engine::PopBatchFlag> batch_list;
+  std::vector<std::uint32_t> batch_list;
   for (const std::string& token :
        split_axis("pop-batch", cli.get_string("pop-batch", "1,8"))) {
     const auto pb = relax::engine::parse_pop_batch_flag(token);
-    if (!pb.valid) {
+    if (!pb) {
       std::fprintf(stderr,
-                   "invalid --pop-batch entry '%s': expected a positive "
-                   "integer, 'auto', or 'auto:<max>'\n",
+                   "invalid --pop-batch entry '%s': expected <k>, a positive "
+                   "integer\n",
                    token.c_str());
       return 2;
     }
-    batch_list.push_back(pb);
+    batch_list.push_back(*pb);
   }
 
   std::vector<const BackendInfo*> backends;
@@ -250,7 +244,7 @@ int main(int argc, char** argv) {
 
   std::vector<SteadyCell> cells;
   for (const std::int64_t t : thread_list) {
-    for (const relax::engine::PopBatchFlag& pb : batch_list) {
+    for (const std::uint32_t pop_batch : batch_list) {
       for (const relax::util::TopologySpec& numa : numa_list) {
         for (const BackendInfo* backend : backends) {
           for (const InsertPolicy policy : policies) {
@@ -260,8 +254,7 @@ int main(int argc, char** argv) {
               cfg.threads = static_cast<unsigned>(t < 1 ? 1 : t);
               cfg.policy = policy;
               cfg.distribution = dist;
-              cfg.pop_batch = pb.batch;
-              cfg.pop_batch_auto = pb.adaptive;
+              cfg.pop_batch = pop_batch;
               cfg.numa = numa;
               SteadyCell cell = relax::bench::run_steady_cell(cfg);
               print_row(cell);

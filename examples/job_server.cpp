@@ -21,8 +21,7 @@
 // SprayList, and deterministic k-bounded jobs on the same pool.
 //
 // --pop-batch selects how many labels each worker claims per scheduler
-// touch (default 1; 'auto' or 'auto:<max>' enables the adaptive
-// controller). Batching amortizes the per-pop sample/lock round trip — the
+// touch (a positive integer, default 1). Batching amortizes the per-pop sample/lock round trip — the
 // audit requests report the matching O(pop_batch * q) rank-error envelope,
 // so the latency/quality trade is visible in the output.
 //
@@ -37,7 +36,7 @@
 //
 // Build & run:  ./examples/job_server [--requests=32] [--threads=0]
 //                                     [--inflight=4] [--audit=8]
-//                                     [--pop-batch=1|auto[:max]]
+//                                     [--pop-batch=<k>]
 //                                     [--backend=multiqueue-c2|...|mix]
 //                                     [--numa=off|auto|virtual:<K>]
 //                                     [--metrics=<path|->]
@@ -100,16 +99,14 @@ int main(int argc, char** argv) {
   opts.engine.max_in_flight = static_cast<unsigned>(inflight);
   opts.engine.max_pending = static_cast<std::size_t>(inflight);
   opts.engine.topology = *numa;
-  opts.default_pop_batch = pb->batch;
-  opts.default_pop_batch_auto = pb->adaptive;
+  opts.default_pop_batch = *pb;
   if (!metrics_path.empty()) opts.metrics = &registry;
   relax::server::JobServer server(std::move(opts));
 
   std::printf(
       "job_server: %u workers, %d jobs in flight, %d requests, pop-batch "
-      "%u%s\n",
-      server.engine().width(), inflight, requests, pb->batch,
-      pb->adaptive ? " (adaptive)" : "");
+      "%u\n",
+      server.engine().width(), inflight, requests, *pb);
 
   // Completion channel for the demo: submit_local's deliver callback runs
   // on an engine worker; the main thread drains and prints.
@@ -169,13 +166,12 @@ int main(int argc, char** argv) {
     req.id = static_cast<std::uint64_t>(r) + 1;
     req.kind = static_cast<protocol::Kind>(r % 3);
     req.seed = static_cast<std::uint64_t>(r) + 1;
-    req.pop_batch = pb->batch;
-    req.pop_batch_auto = pb->adaptive;
+    req.pop_batch = *pb;
     req.audit = audit_every > 0 && r % audit_every == 0;
     const auto* backend =
         backends[static_cast<std::size_t>(r) % backends.size()];
     req.backend = std::string(backend->name);
-    pending.emplace(req.id, Pending{kKindNames[r % 3], backend, pb->batch});
+    pending.emplace(req.id, Pending{kKindNames[r % 3], backend, *pb});
 
     // Bounded window: admission overflow comes back BUSY; completing one
     // request always frees a slot, so the retry loop makes progress.

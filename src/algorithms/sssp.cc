@@ -6,7 +6,6 @@
 #include <thread>
 #include <vector>
 
-#include "sched/batch_controller.h"
 #include "sched/concurrent_multiqueue.h"
 #include "sched/dary_heap.h"
 #include "util/rng.h"
@@ -75,8 +74,8 @@ std::vector<std::uint32_t> parallel_relaxed_sssp(
   for (auto& d : dist) d.store(kUnreachable, std::memory_order_relaxed);
   dist[source].store(0, std::memory_order_relaxed);
 
-  using Queue = sched::BasicConcurrentMultiQueue<std::uint64_t>;
-  Queue queue(options.queue_factor * threads, options.seed);
+  sched::BasicConcurrentMultiQueue<std::uint64_t> queue(
+      options.queue_factor * threads, options.seed);
   // Topology placement: socket-fill pin order plus a per-domain stripe map
   // over the sub-queues (quiescent here — no worker exists yet). Flat
   // placement (off / single domain) leaves both at the historical layout.
@@ -103,16 +102,11 @@ std::vector<std::uint32_t> parallel_relaxed_sssp(
     for (unsigned t = 0; t < threads; ++t) {
       workers.emplace_back([&, t] {
         util::pin_thread_to_cpu(placement.pin_slot[t]);
-        // This thread's scheduler session: one handle plus one adaptive
-        // batch controller for the whole execution — the same
-        // occupancy-aware sizing the engine's jobs run (engine/job.h).
-        // The handle carries the thread's topology domain so claims and
+        // This thread's scheduler session: one handle for the whole
+        // execution, carrying the thread's topology domain so claims and
         // bulk re-inserts prefer same-domain stripes.
         auto handle = queue.get_handle();
         handle.set_domain(placement.domain[t]);
-        sched::BatchController controller(
-            batch, options.pop_batch_auto, /*high_watermark=*/0,
-            sched::BatchController::kDefaultConsultPeriod, threads);
         // Stack-local; written back once (no false sharing between workers).
         SsspStats stats;
         std::vector<std::uint64_t> popped;
@@ -120,26 +114,17 @@ std::vector<std::uint32_t> parallel_relaxed_sssp(
         popped.reserve(batch);
         while (pending.load(std::memory_order_acquire) > 0) {
           popped.clear();
-          const std::uint32_t want =
-              controller.next_claim(sched::QueueOccupancy<Queue>{&queue});
-          if (want <= 1) {
+          if (batch == 1) {
             if (const auto key = handle.approx_get_min())
               popped.push_back(*key);
           } else {
-            handle.approx_get_min_batch(want, popped);
+            handle.approx_get_min_batch(batch, popped);
           }
-          controller.feedback(want,
-                              static_cast<std::uint32_t>(popped.size()));
           if (popped.empty()) {
             util::cpu_relax();
             continue;
           }
           ++stats.batches;
-          stats.max_claim = std::max<std::uint64_t>(stats.max_claim, want);
-          stats.min_claim = stats.min_claim == 0
-                                ? want
-                                : std::min<std::uint64_t>(stats.min_claim,
-                                                          want);
           reinsert.clear();
           for (const std::uint64_t key : popped) {
             ++stats.pops;
@@ -190,13 +175,6 @@ std::vector<std::uint32_t> parallel_relaxed_sssp(
       stats_out->stale_pops += s.stale_pops;
       stats_out->relaxations += s.relaxations;
       stats_out->batches += s.batches;
-      stats_out->max_claim = std::max(stats_out->max_claim, s.max_claim);
-      if (s.min_claim != 0) {
-        stats_out->min_claim = stats_out->min_claim == 0
-                                   ? s.min_claim
-                                   : std::min(stats_out->min_claim,
-                                              s.min_claim);
-      }
     }
     stats_out->seconds = timer.seconds();
   }

@@ -39,15 +39,6 @@ struct SsspStats {
   std::uint64_t stale_pops = 0;  // wasted work due to relaxation/concurrency
   std::uint64_t relaxations = 0;
   std::uint64_t batches = 0;  // scheduler acquisition round trips
-  // Smallest / largest claim size *requested* across all acquisition round
-  // trips (0 when no batch was ever claimed). A fixed pop_batch reports
-  // min == max == pop_batch; adaptive mode (SsspOptions::pop_batch_auto)
-  // reports the controller's real range — min 1 (every worker starts
-  // there) up to whatever the ramp reached, which is how `relaxsched
-  // --pop-batch=auto` proves the claim size actually adapted instead of
-  // silently degrading to a fixed cap.
-  std::uint64_t min_claim = 0;
-  std::uint64_t max_claim = 0;
   double seconds = 0.0;
 };
 
@@ -59,12 +50,6 @@ struct SsspOptions {
   unsigned queue_factor = 4;     // MultiQueue sub-queues per thread
   std::uint64_t seed = 1;        // scheduler + weight randomness
   std::uint32_t pop_batch = 1;   // keys claimed per scheduler touch
-  /// Adaptive claim sizing: pop_batch becomes the cap and each worker's
-  /// sched::BatchController floats the claim between 1 (near drain) and
-  /// the cap (sustained load), consulting the queue's striped size()
-  /// occasionally — the same occupancy-aware controller the engine's
-  /// framework executors run (engine/job.h).
-  bool pop_batch_auto = false;
   /// Topology placement (--numa): off = flat, auto = sysfs sockets (flat
   /// fallback), virtual:K = synthetic domains. Threads pin in socket-fill
   /// order and the MultiQueue is striped per domain, exactly like the
@@ -87,18 +72,5 @@ std::vector<std::uint32_t> parallel_relaxed_sssp(
     const graph::Graph& g, const std::vector<std::uint32_t>& weights,
     graph::Vertex source, const SsspOptions& options,
     SsspStats* stats = nullptr);
-
-/// Positional-argument form (fixed batch only), kept for existing callers.
-inline std::vector<std::uint32_t> parallel_relaxed_sssp(
-    const graph::Graph& g, const std::vector<std::uint32_t>& weights,
-    graph::Vertex source, unsigned num_threads, unsigned queue_factor,
-    std::uint64_t seed, unsigned pop_batch = 1, SsspStats* stats = nullptr) {
-  SsspOptions options;
-  options.num_threads = num_threads;
-  options.queue_factor = queue_factor;
-  options.seed = seed;
-  options.pop_batch = pop_batch;
-  return parallel_relaxed_sssp(g, weights, source, options, stats);
-}
 
 }  // namespace relax::algorithms

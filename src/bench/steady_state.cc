@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "obs/histogram.h"
-#include "sched/batch_controller.h"
 #include "sched/handles.h"
 #include "sched/stripe_map.h"
 #include "sched/relaxation_monitor.h"
@@ -88,10 +87,9 @@ void prefill_into(Sink& sink, const SteadyConfig& cfg) {
 /// `Insert` is (span<const Priority>) -> void; `Claim` is
 /// (k, vector<Priority>&) -> size_t. Counting and Dijkstra feedback live
 /// here so both passes measure exactly the same traffic shape.
-template <typename Occupancy, typename Insert, typename Claim>
+template <typename Insert, typename Claim>
 void op_loop(const SteadyConfig& cfg, unsigned tid,
              const std::atomic<bool>& go, const std::atomic<bool>& stop,
-             sched::BatchController& ctl, const Occupancy& occupancy,
              ThreadCounters& counters, Insert&& do_insert, Claim&& do_claim) {
   using Clock = std::chrono::steady_clock;
   sched::OpSequencer seq(cfg.policy, tid, cfg.threads);
@@ -102,6 +100,7 @@ void op_loop(const SteadyConfig& cfg, unsigned tid,
   std::vector<Priority> popbuf;
   insbuf.reserve(cfg.pop_batch);
   popbuf.reserve(cfg.pop_batch);
+  const std::uint32_t claim = std::max<std::uint32_t>(cfg.pop_batch, 1);
   std::uint64_t touches = 0;
 
   while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
@@ -127,9 +126,6 @@ void op_loop(const SteadyConfig& cfg, unsigned tid,
     const bool sampled = (++touches % kLatencySampleStride) == 0;
     const auto t0 = sampled ? Clock::now() : Clock::time_point{};
     if (seq.next_is_insert(rng)) {
-      // The insert side batches at the fixed cap; only the delete side
-      // adapts (shrinking inserts near drain would starve the deleters the
-      // policy pairs them with).
       insbuf.clear();
       for (std::uint32_t i = 0; i < cfg.pop_batch; ++i)
         insbuf.push_back(gen.next(rng));
@@ -137,10 +133,8 @@ void op_loop(const SteadyConfig& cfg, unsigned tid,
       counters.inserts += insbuf.size();
       pending_ops += insbuf.size();
     } else {
-      const std::uint32_t k = ctl.next_claim(occupancy);
       popbuf.clear();
-      const std::size_t got = do_claim(k, popbuf);
-      ctl.feedback(k, static_cast<std::uint32_t>(got));
+      const std::size_t got = do_claim(claim, popbuf);
       if (got == 0) {
         ++counters.empty_pops;
       } else {
@@ -194,15 +188,8 @@ TimedRun run_timed(Queue& queue, const SteadyConfig& cfg) {
         if (placement.num_domains > 1)
           handle.set_domain(placement.domain[tid]);
       }
-      // Width-aware watermarks: occupancy is global, so the near-drain /
-      // deep-backlog thresholds scale with how much the whole pool claims
-      // per round (sched/batch_controller.h).
-      sched::BatchController ctl(
-          cfg.pop_batch, cfg.pop_batch_auto, /*high_watermark=*/0,
-          sched::BatchController::kDefaultConsultPeriod, threads);
-      const sched::QueueOccupancy<Queue> occupancy{&queue};
       op_loop(
-          cfg, tid, go, stop, ctl, occupancy, *counters[tid],
+          cfg, tid, go, stop, *counters[tid],
           [&](std::span<const Priority> keys) {
             sched::insert_batch(handle, keys);
           },
@@ -273,10 +260,8 @@ void run_monitored(Queue& queue, const SteadyConfig& cfg, SteadyCell& cell) {
   pool.reserve(threads);
   for (unsigned tid = 0; tid < threads; ++tid) {
     pool.emplace_back([&, tid] {
-      sched::BatchController ctl(cfg.pop_batch, cfg.pop_batch_auto);
-      const sched::NoOccupancy occupancy;
       op_loop(
-          cfg, tid, go, stop, ctl, occupancy, *counters[tid],
+          cfg, tid, go, stop, *counters[tid],
           [&](std::span<const Priority> keys) {
             std::lock_guard<std::mutex> guard(mu);
             monitor.insert_batch(keys);
@@ -315,7 +300,6 @@ SteadyCell run_steady_cell(const SteadyConfig& cfg) {
   cell.policy = cfg.policy;
   cell.distribution = cfg.distribution;
   cell.pop_batch = cfg.pop_batch;
-  cell.pop_batch_auto = cfg.pop_batch_auto;
   cell.numa = cfg.numa.label();
   cell.runs = std::max<unsigned>(cfg.runs, 1);
 
@@ -360,13 +344,12 @@ void append_json_row(std::string& out, const SteadyCell& cell) {
   std::snprintf(
       buf, sizeof buf,
       "{\"workload\": \"steady\", \"backend\": \"%s\", \"threads\": %u, "
-      "\"pop_batch\": %u, \"pop_batch_auto\": %s, \"numa\": \"%s\", "
+      "\"pop_batch\": %u, \"numa\": \"%s\", "
       "\"policy\": \"%s\", "
       "\"distribution\": \"%s\", \"runs\": %u, \"seconds\": %.6f, "
       "\"tasks_per_s\": %.1f, \"ops\": %" PRIu64 ", \"inserts\": %" PRIu64
       ", \"deletes\": %" PRIu64 ", \"empty_pops\": %" PRIu64 ", ",
-      cell.backend.c_str(), cell.threads, cell.pop_batch,
-      cell.pop_batch_auto ? "true" : "false", cell.numa.c_str(),
+      cell.backend.c_str(), cell.threads, cell.pop_batch, cell.numa.c_str(),
       std::string(sched::insert_policy_name(cell.policy)).c_str(),
       std::string(sched::key_distribution_name(cell.distribution)).c_str(),
       cell.runs, cell.seconds, cell.ops_per_s, cell.ops, cell.inserts,

@@ -22,9 +22,8 @@
 //
 // Key streams come from sched/key_distribution.h (Uniform / Dijkstra /
 // Ascending / Descending); thread roles from InsertPolicy (Uniform / Split
-// / Producer / Alternating). Both scheduler sides batch with the same
-// pop_batch vocabulary as the CLIs, including the occupancy-aware adaptive
-// controller (`auto[:max]`) on the delete side.
+// / Producer / Alternating). Both scheduler sides batch pop_batch keys per
+// touch, the same fixed batch the CLIs take.
 //
 // Quality: an optional companion pass re-runs the same traffic serialized
 // through a RelaxationMonitor (one mutex, exact order-statistics mirror
@@ -61,7 +60,6 @@ struct SteadyConfig {
   sched::InsertPolicy policy = sched::InsertPolicy::kUniform;
   sched::KeyDistribution distribution = sched::KeyDistribution::kUniform;
   std::uint32_t pop_batch = 1;
-  bool pop_batch_auto = false;
   std::size_t prefill = 1'000'000;
   double working_seconds = 1.0;
   unsigned runs = 3;
@@ -88,7 +86,6 @@ struct SteadyCell {
   sched::InsertPolicy policy = sched::InsertPolicy::kUniform;
   sched::KeyDistribution distribution = sched::KeyDistribution::kUniform;
   std::uint32_t pop_batch = 1;
-  bool pop_batch_auto = false;
   std::string numa;  // topology spec label: off | auto | virtual:K
   unsigned runs = 0;
 

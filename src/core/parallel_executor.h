@@ -50,14 +50,6 @@ struct ParallelOptions {
                                  // (batched acquisition; rank cost scales
                                  // to O(pop_batch * q), see
                                  // sched::batched_rank_bound)
-  bool pop_batch_auto = false;   // adaptive claim size: pop_batch becomes
-                                 // the cap, each worker's
-                                 // sched::BatchController scales between 1
-                                 // (near drain) and the cap (under load)
-                                 // from claim feedback + the backend's
-                                 // striped size(); honored by the engine
-                                 // jobs AND by SSSP's standalone executor
-                                 // (algorithms::SsspOptions mirrors it)
   std::uint64_t seed = 1;        // scheduler randomness
   std::uint32_t weight = 1;      // QoS tenant weight (engine/qos.h);
                                  // meaningful when the job shares an
@@ -103,7 +95,6 @@ inline engine::JobConfig job_config(const ParallelOptions& opts) {
   cfg.choices = opts.choices;
   cfg.relaxation_k = opts.relaxation_k;
   cfg.pop_batch = opts.pop_batch;
-  cfg.pop_batch_auto = opts.pop_batch_auto;
   cfg.seed = opts.seed;
   cfg.weight = opts.weight;
   return cfg;

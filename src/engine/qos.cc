@@ -119,7 +119,7 @@ void QosGovernor::maybe_consult_idle() {
   // Idle visits dominating the window means the tenants cannot fill even
   // their shrunken shares — widen everyone's share toward the full slice.
   // Progress dominating means contention is real — fall back toward the
-  // strict weighted split. Doubling/halving mirrors BatchController's ramp.
+  // strict weighted split, halving the expansion each consult.
   const std::uint64_t pct = expand_pct_.load(std::memory_order_relaxed);
   if (d_idle > d_slices) {
     expand_pct_.store(std::min<std::uint64_t>(pct * 2, kMaxExpandPct),

@@ -5,8 +5,7 @@
 // with several jobs in flight (--backend=mix, the networked server) a
 // heavy tenant and a light tenant got identical slice time and the pool
 // shared capacity 1:1 regardless of what the operator wanted. The
-// governor converts that constant into measured, per-tenant policy — the
-// same hoisting move sched::BatchController made for claim sizing: one
+// governor converts that constant into measured, per-tenant policy: one
 // choke point (SchedulingEngine::work), worker-local hot path, global
 // inputs consulted occasionally.
 //
@@ -88,9 +87,8 @@ struct TenantState {
 
 class QosGovernor {
  public:
-  /// Grants per idle-feedback consult; same spirit (and magnitude) as
-  /// BatchController::kDefaultConsultPeriod — the read is width * 2
-  /// relaxed loads, noise next to the slices it spans.
+  /// Grants per idle-feedback consult. The consult reads width * 2
+  /// relaxed loads, noise next to the 64 slices it spans.
   static constexpr std::uint32_t kConsultPeriod = 64;
   /// Minimum budget divisor: no tenant is ever granted less than
   /// full/kMinShareDiv iterations, so even a weight-1 tenant among many

@@ -23,11 +23,6 @@ WorkerSnapshot snap_worker(const WorkerMetrics& m) {
   s.reinserts = m.reinserts.value();
   s.numa_local_claims = m.numa_local_claims.value();
   s.numa_steal_claims = m.numa_steal_claims.value();
-  s.current_claim = m.current_claim.value();
-  s.regime_ramps = m.regime_ramps.value();
-  s.regime_resets = m.regime_resets.value();
-  s.regime_backlog_jumps = m.regime_backlog_jumps.value();
-  s.regime_drain_pins = m.regime_drain_pins.value();
   s.parks = m.parks.value();
   s.park_ns = m.park_ns.snapshot();
   return s;
@@ -50,9 +45,8 @@ void append(std::string& out, const char* fmt, ...) {
 /// worker, Prometheus text form.
 template <typename Get>
 void prom_counter(std::string& out, const MetricsSnapshot& snap,
-                  const char* name, const char* help, Get get,
-                  const char* type = "counter") {
-  append(out, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, type);
+                  const char* name, const char* help, Get get) {
+  append(out, "# HELP %s %s\n# TYPE %s counter\n", name, help, name);
   for (std::size_t w = 0; w < snap.workers.size(); ++w) {
     append(out, "%s{worker=\"%zu\"} %" PRIu64 "\n", name, w,
            get(snap.workers[w]));
@@ -183,22 +177,6 @@ std::string MetricsRegistry::to_prometheus() const {
   prom_counter(out, snap, "relax_worker_parks_total",
                "times the worker parked on the pool condvar",
                [](const WorkerSnapshot& w) { return w.parks; });
-  prom_counter(out, snap, "relax_worker_current_claim",
-               "adaptive claim size after the worker's last slice",
-               [](const WorkerSnapshot& w) { return w.current_claim; },
-               "gauge");
-  prom_counter(out, snap, "relax_worker_regime_ramps_total",
-               "BatchController feedback doublings toward the cap",
-               [](const WorkerSnapshot& w) { return w.regime_ramps; });
-  prom_counter(out, snap, "relax_worker_regime_resets_total",
-               "BatchController short-claim resets to 1",
-               [](const WorkerSnapshot& w) { return w.regime_resets; });
-  prom_counter(out, snap, "relax_worker_regime_backlog_jumps_total",
-               "occupancy consults that jumped the claim to the cap",
-               [](const WorkerSnapshot& w) { return w.regime_backlog_jumps; });
-  prom_counter(out, snap, "relax_worker_regime_drain_pins_total",
-               "occupancy consults that pinned single pops near drain",
-               [](const WorkerSnapshot& w) { return w.regime_drain_pins; });
   prom_histogram(out, "relax_slice_latency_ns",
                  "per-slice wall latency, merged over workers",
                  snap.slice_ns);
@@ -285,17 +263,11 @@ std::string MetricsRegistry::to_json() const {
            ", \"failed_deletes\": %" PRIu64 ", \"dead_skips\": %" PRIu64
            ", \"empty_polls\": %" PRIu64 ", \"reinserts\": %" PRIu64
            ", \"numa_local_claims\": %" PRIu64
-           ", \"numa_steal_claims\": %" PRIu64
-           ", \"current_claim\": %" PRIu64 ", \"regime_ramps\": %" PRIu64
-           ", \"regime_resets\": %" PRIu64
-           ", \"regime_backlog_jumps\": %" PRIu64
-           ", \"regime_drain_pins\": %" PRIu64 ", \"parks\": %" PRIu64
+           ", \"numa_steal_claims\": %" PRIu64 ", \"parks\": %" PRIu64
            ", ",
            w, ws.slices, ws.idle_visits, ws.claims, ws.pops, ws.processed,
            ws.failed_deletes, ws.dead_skips, ws.empty_polls, ws.reinserts,
-           ws.numa_local_claims, ws.numa_steal_claims,
-           ws.current_claim, ws.regime_ramps, ws.regime_resets,
-           ws.regime_backlog_jumps, ws.regime_drain_pins, ws.parks);
+           ws.numa_local_claims, ws.numa_steal_claims, ws.parks);
     json_histogram(out, "slice_latency_ns", ws.slice_ns, true);
     json_histogram(out, "claim_size", ws.claim_size, true);
     json_histogram(out, "park_ns", ws.park_ns, false);

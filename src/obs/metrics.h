@@ -15,8 +15,7 @@
 //                             submit/complete counts
 //   jobs (engine/job.h)       claims + claim-size distribution, pops,
 //                             processed / failed-delete / dead-skip /
-//                             empty-poll counts, re-inserted labels, and
-//                             BatchController regime transitions
+//                             empty-poll counts, re-inserted labels
 //   worker pool               park/unpark counts + park-time distribution
 //
 // Lifetime: the registry outlives the engine that records into it (it is
@@ -57,8 +56,8 @@ class Counter {
   std::atomic<std::uint64_t> v_{0};
 };
 
-/// Last-written level (e.g. the adaptive claim size a worker is currently
-/// running). Relaxed set/read; no aggregation semantics beyond "latest".
+/// Last-written level (e.g. a QoS tenant's most recent granted budget).
+/// Relaxed set/read; no aggregation semantics beyond "latest".
 class Gauge {
  public:
   void set(std::uint64_t v) noexcept {
@@ -99,13 +98,6 @@ struct WorkerMetrics {
   Counter reinserts;         // kNotReady labels flushed back
   Counter numa_local_claims;  // claims served from the worker's own domain
   Counter numa_steal_claims;  // claims served cross-domain (bounded steal)
-  Gauge current_claim;       // adaptive claim size after the last slice
-
-  // BatchController regime transitions (deltas flushed per slice).
-  Counter regime_ramps;        // feedback doublings toward the cap
-  Counter regime_resets;       // short claim -> back to 1
-  Counter regime_backlog_jumps;  // occupancy consult jumped to the cap
-  Counter regime_drain_pins;     // occupancy consult pinned single pops
 
   // Worker-pool accounting (recorded by WorkerPool::worker_main).
   Counter parks;
@@ -180,11 +172,6 @@ struct WorkerSnapshot {
   std::uint64_t reinserts = 0;
   std::uint64_t numa_local_claims = 0;
   std::uint64_t numa_steal_claims = 0;
-  std::uint64_t current_claim = 0;
-  std::uint64_t regime_ramps = 0;
-  std::uint64_t regime_resets = 0;
-  std::uint64_t regime_backlog_jumps = 0;
-  std::uint64_t regime_drain_pins = 0;
   std::uint64_t parks = 0;
   Histogram park_ns;
 };

@@ -16,8 +16,6 @@ const char* event_name(EventKind kind) {
       return "park";
     case EventKind::kClaim:
       return "claim";
-    case EventKind::kRegime:
-      return "regime";
   }
   return "?";
 }
@@ -30,8 +28,6 @@ const char* arg_name(EventKind kind) {
       return "seq";
     case EventKind::kClaim:
       return "got";
-    case EventKind::kRegime:
-      return "claim";
   }
   return "arg";
 }

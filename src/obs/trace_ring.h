@@ -1,7 +1,7 @@
 // TraceRing — per-worker event ring buffers that export Chrome trace-event
 // JSON, so a whole multi-job engine run opens in chrome://tracing (or
-// https://ui.perfetto.dev) as one lane per worker showing slices, claims,
-// parks, and batch-controller regime changes.
+// https://ui.perfetto.dev) as one lane per worker showing slices, claims
+// and parks.
 //
 // Design constraints, in order:
 //   * zero cost when absent — every record site is gated on a null check,
@@ -20,7 +20,6 @@
 //   kSlice   complete ("X") event, dur = slice wall time, arg = job id
 //   kPark    complete event on the same lane, dur = parked time
 //   kClaim   instant event, arg = labels delivered by one batched claim
-//   kRegime  instant event, arg = the controller's new claim size
 #pragma once
 
 #include <cstdint>
@@ -32,12 +31,12 @@
 
 namespace relax::obs {
 
-enum class EventKind : std::uint8_t { kSlice, kPark, kClaim, kRegime };
+enum class EventKind : std::uint8_t { kSlice, kPark, kClaim };
 
 struct TraceEvent {
   std::uint64_t ts_ns = 0;   // relative to the ring's reset
   std::uint64_t dur_ns = 0;  // 0 for instant events
-  std::uint32_t arg = 0;     // job id / claim size / new regime claim
+  std::uint32_t arg = 0;     // job id / park seq / claim size
   EventKind kind = EventKind::kSlice;
 };
 
@@ -101,8 +100,8 @@ class TraceRing {
 
   /// Renders the rings as a Chrome trace-event JSON array (the format both
   /// chrome://tracing and Perfetto ingest): one named thread lane per
-  /// worker, complete events for slices/parks, instants for claims/regime
-  /// changes. Requires quiescence (see file header).
+  /// worker, complete events for slices/parks, instants for claims.
+  /// Requires quiescence (see file header).
   [[nodiscard]] std::string to_chrome_json() const;
 
   /// to_chrome_json() straight to a file; false (with errno intact) when

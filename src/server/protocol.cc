@@ -96,8 +96,7 @@ void encode(const Request& msg, std::vector<std::uint8_t>& out) {
   put_u8(out, kRequestType);
   put_u8(out, static_cast<std::uint8_t>(msg.kind));
   std::uint8_t flags = 0;
-  if (msg.audit) flags |= 0x01;
-  if (msg.pop_batch_auto) flags |= 0x02;
+  if (msg.audit) flags |= 0x01;  // bit 1 is reserved: always written as 0
   put_u8(out, flags);
   put_u32(out, msg.graph_id);
   put_u32(out, msg.pop_batch);
@@ -147,8 +146,7 @@ std::optional<Request> decode_request(std::span<const std::uint8_t> payload) {
       !r.str(blen, msg.backend))
     return std::nullopt;
   msg.kind = static_cast<Kind>(kind);
-  msg.audit = (flags & 0x01) != 0;
-  msg.pop_batch_auto = (flags & 0x02) != 0;
+  msg.audit = (flags & 0x01) != 0;  // reserved bit 1 is ignored
   // Trailing weight field: optional for compatibility with pre-weight
   // encoders. Absent -> 1 (the historical per-job share), NOT 0 — an old
   // client never asked for the server's default-weight override.

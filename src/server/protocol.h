@@ -69,7 +69,6 @@ struct Request {
   std::uint32_t graph_id = 0;
   std::uint32_t pop_batch = 0;   // labels per scheduler touch; 0 = server
                                  // default, values clamped server-side
-  bool pop_batch_auto = false;   // pop_batch becomes the adaptive cap
   bool audit = false;            // run under the Definition 1 monitor
   std::uint64_t seed = 1;        // scheduler randomness (determinism knob)
   std::string backend;           // registry name; "" = server default

@@ -295,16 +295,10 @@ protocol::Status JobServer::admit_request(
 
   engine::JobConfig cfg;
   cfg.seed = req.seed;
-  if (req.pop_batch == 0 && !req.pop_batch_auto) {
-    cfg.pop_batch = opts_.default_pop_batch;
-    cfg.pop_batch_auto = opts_.default_pop_batch_auto;
-  } else {
-    cfg.pop_batch = std::clamp<std::uint32_t>(
-        req.pop_batch == 0 ? engine::JobConfig::kDefaultAutoPopBatch
-                           : req.pop_batch,
-        1, engine::JobConfig::kMaxPopBatch);
-    cfg.pop_batch_auto = req.pop_batch_auto;
-  }
+  cfg.pop_batch = req.pop_batch == 0
+                      ? opts_.default_pop_batch
+                      : std::min(req.pop_batch,
+                                 engine::JobConfig::kMaxPopBatch);
   cfg.monitor_relaxation = req.audit;
   // QoS weight: 0 on the wire means "server default" (--default-weight);
   // pre-weight clients decode as 1 and keep their historical share.

@@ -88,7 +88,6 @@ struct ServerOptions {
   /// Defaults applied when a request leaves the field at 0 / "".
   std::string default_backend;  // "" = registry default
   std::uint32_t default_pop_batch = 1;
-  bool default_pop_batch_auto = false;
   /// QoS weight applied when a request carries weight 0 ("use the server
   /// default"). Requests that predate the weight field decode as 1 and
   /// never take this value. Clamped to [1, JobConfig::kMaxWeight].

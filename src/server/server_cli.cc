@@ -21,15 +21,13 @@ std::vector<const sched::BackendInfo*> resolve_backends(
   return backends;
 }
 
-std::optional<engine::PopBatchFlag> parse_pop_batch(
-    const std::string& value) {
+std::optional<std::uint32_t> parse_pop_batch(const std::string& value) {
   const auto pb = engine::parse_pop_batch_flag(value);
-  if (!pb.valid) {
+  if (!pb) {
     std::fprintf(stderr,
-                 "error: invalid --pop-batch '%s': expected a positive "
-                 "integer, 'auto', or 'auto:<max>'\n",
+                 "error: invalid --pop-batch '%s': expected <k>, a positive "
+                 "integer\n",
                  value.c_str());
-    return std::nullopt;
   }
   return pb;
 }

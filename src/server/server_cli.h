@@ -26,9 +26,9 @@ namespace relax::server::cli {
 [[nodiscard]] std::vector<const sched::BackendInfo*> resolve_backends(
     const std::string& flag);
 
-/// Validates a --pop-batch value ("<n>", "auto", "auto:<max>"). Invalid
+/// Validates a --pop-batch value ("<k>", a positive integer). Invalid
 /// input prints the canonical error and returns nullopt.
-[[nodiscard]] std::optional<engine::PopBatchFlag> parse_pop_batch(
+[[nodiscard]] std::optional<std::uint32_t> parse_pop_batch(
     const std::string& value);
 
 /// Validates a --numa value ("off", "auto", "virtual:<K>"). Invalid input

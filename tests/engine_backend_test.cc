@@ -110,12 +110,12 @@ TEST(EngineBackend, BatchedAcquisitionProducesTheSequentialMis) {
   }
 }
 
-// Batched re-insertion + adaptive claim sizing (--pop-batch=auto): every
-// backend still decides exactly the sequential MIS when kNotReady labels
-// are buffered and flushed as insert_batch runs and the per-worker claim
-// size floats between 1 and the cap. A label stranded in a re-insertion
-// buffer would hang wait(); a duplicated one breaks the counting.
-TEST(EngineBackend, AdaptiveBatchingProducesTheSequentialMis) {
+// Large-batch claims with batched re-insertion: every backend still decides
+// exactly the sequential MIS when each worker claims up to 64 labels per
+// touch and its kNotReady labels are buffered and flushed as insert_batch
+// runs. A label stranded in a re-insertion buffer would hang wait(); a
+// duplicated one breaks the counting.
+TEST(EngineBackend, LargeBatchReinsertionProducesTheSequentialMis) {
   const MisFixture fix;
   SchedulingEngine eng(engine_opts(4, 2));
   for (const sched::BackendInfo& info : sched::backend_registry()) {
@@ -123,8 +123,7 @@ TEST(EngineBackend, AdaptiveBatchingProducesTheSequentialMis) {
     algorithms::AtomicMisProblem problem(fix.g, fix.pri);
     JobConfig cfg;
     cfg.seed = 71;
-    cfg.pop_batch = 64;  // the adaptive cap
-    cfg.pop_batch_auto = true;
+    cfg.pop_batch = 64;
     const auto stats =
         eng.submit_relaxed_backend(problem, fix.pri, info, cfg).wait();
     EXPECT_EQ(problem.result(), fix.expected);
@@ -136,48 +135,20 @@ TEST(EngineBackend, AdaptiveBatchingProducesTheSequentialMis) {
 }
 
 TEST(EngineBackend, PopBatchFlagParsing) {
-  const auto fixed = parse_pop_batch_flag("8");
-  EXPECT_EQ(fixed.batch, 8u);
-  EXPECT_FALSE(fixed.adaptive);
-  EXPECT_TRUE(fixed.valid);
+  EXPECT_EQ(parse_pop_batch_flag("8"), 8u);
+  EXPECT_EQ(parse_pop_batch_flag("1"), 1u);
 
-  const auto adaptive = parse_pop_batch_flag("auto");
-  EXPECT_EQ(adaptive.batch, JobConfig::kDefaultAutoPopBatch);
-  EXPECT_TRUE(adaptive.adaptive);
-  EXPECT_TRUE(adaptive.valid);
+  // Zero, garbage and the retired adaptive forms are rejected outright so
+  // CLI front-ends fail with a clear error instead of running a batch size
+  // the user never asked for.
+  for (const char* bad : {"0", "garbage", "", "-3", "8x", "auto", "auto:8",
+                          "auto:0", "auto:junk"}) {
+    SCOPED_TRACE(std::string("value: '") + bad + "'");
+    EXPECT_EQ(parse_pop_batch_flag(bad), std::nullopt);
+  }
 
-  const auto capped = parse_pop_batch_flag("auto:128");
-  EXPECT_EQ(capped.batch, 128u);
-  EXPECT_TRUE(capped.adaptive);
-  EXPECT_TRUE(capped.valid);
-
-  // Degenerate values degrade safely (reported == effective) AND carry
-  // valid == false so CLI front-ends can reject them with a clear error
-  // instead of running a batch size the user never asked for.
-  EXPECT_EQ(parse_pop_batch_flag("0").batch, 1u);
-  EXPECT_FALSE(parse_pop_batch_flag("0").valid);
-  EXPECT_EQ(parse_pop_batch_flag("garbage").batch, 1u);
-  EXPECT_FALSE(parse_pop_batch_flag("garbage").adaptive);
-  EXPECT_FALSE(parse_pop_batch_flag("garbage").valid);
-  EXPECT_EQ(parse_pop_batch_flag("auto:junk").batch,
-            JobConfig::kDefaultAutoPopBatch);
-  EXPECT_TRUE(parse_pop_batch_flag("auto:junk").adaptive);
-  EXPECT_FALSE(parse_pop_batch_flag("auto:junk").valid);
-
-  // A zero adaptive cap would flow straight into the batch controller:
-  // must parse as invalid (degraded to the default cap, still adaptive).
-  const auto zero_cap = parse_pop_batch_flag("auto:0");
-  EXPECT_FALSE(zero_cap.valid);
-  EXPECT_TRUE(zero_cap.adaptive);
-  EXPECT_EQ(zero_cap.batch, JobConfig::kDefaultAutoPopBatch);
-
-  // Oversized values clamp and stay valid (documented behaviour).
-  EXPECT_EQ(parse_pop_batch_flag("99999999").batch,
-            JobConfig::kMaxPopBatch);
-  EXPECT_TRUE(parse_pop_batch_flag("99999999").valid);
-  EXPECT_TRUE(parse_pop_batch_flag("1").valid);
-  EXPECT_FALSE(parse_pop_batch_flag("").valid);
-  EXPECT_FALSE(parse_pop_batch_flag("-3").valid);
+  // Oversized values clamp and stay valid (reported == effective).
+  EXPECT_EQ(parse_pop_batch_flag("99999999"), JobConfig::kMaxPopBatch);
 }
 
 // A monitored batched job measures the batch-aware Definition 1 envelope

@@ -54,7 +54,6 @@ TEST(MetricsRegistry, SnapshotDuringConcurrentRecording) {
       for (std::uint64_t i = 0; i < kPerWriter; ++i) {
         wm.pops.add();
         wm.slice_ns.record(i % 5000);
-        wm.current_claim.set(i % 64);
       }
     });
   }
@@ -101,11 +100,7 @@ TEST(MetricsRegistry, PrometheusListsEveryFamily) {
         "relax_worker_processed_total", "relax_worker_failed_deletes_total",
         "relax_worker_dead_skips_total", "relax_worker_empty_polls_total",
         "relax_worker_reinserts_total", "relax_worker_parks_total",
-        "relax_worker_current_claim", "relax_worker_regime_ramps_total",
-        "relax_worker_regime_resets_total",
-        "relax_worker_regime_backlog_jumps_total",
-        "relax_worker_regime_drain_pins_total", "relax_slice_latency_ns",
-        "relax_claim_size", "relax_park_ns"}) {
+        "relax_slice_latency_ns", "relax_claim_size", "relax_park_ns"}) {
     EXPECT_NE(text.find(family), std::string::npos)
         << "missing family " << family;
   }
@@ -156,7 +151,7 @@ TEST(TraceRing, ChromeJsonShape) {
   ring.resize(2);
   ring.record(0, EventKind::kSlice, 1000, 5000, /*job=*/1);
   ring.record(1, EventKind::kPark, 2000, 3000, 0);
-  ring.record(1, EventKind::kRegime, 9000, 0, /*claim=*/8);
+  ring.record(1, EventKind::kClaim, 9000, 0, /*got=*/8);
   const std::string json = ring.to_chrome_json();
   EXPECT_EQ(json.front(), '[');
   EXPECT_NE(json.find("\"thread_name\""), std::string::npos);
@@ -164,7 +159,8 @@ TEST(TraceRing, ChromeJsonShape) {
   EXPECT_NE(json.find("\"ph\": \"i\""), std::string::npos);  // instants
   EXPECT_NE(json.find("\"name\": \"slice\""), std::string::npos);
   EXPECT_NE(json.find("\"name\": \"park\""), std::string::npos);
-  EXPECT_NE(json.find("\"name\": \"regime\""), std::string::npos);
+  EXPECT_NE(json.find("\"name\": \"claim\""), std::string::npos);
+  EXPECT_NE(json.find("{\"got\": 8}"), std::string::npos);
   // ts/dur are microseconds: 1000ns -> 1.000us.
   EXPECT_NE(json.find("\"ts\": 1.000"), std::string::npos);
   EXPECT_NE(json.find("\"dur\": 5.000"), std::string::npos);
@@ -183,7 +179,6 @@ TEST(Observability, EngineRunPopulatesSinks) {
   opts.num_threads = 4;
   opts.pin_threads = false;
   opts.pop_batch = 8;
-  opts.pop_batch_auto = true;
   opts.metrics = &reg;
   opts.trace = &ring;
   const auto stats = relax::core::run_parallel_relaxed(problem, pri, opts);

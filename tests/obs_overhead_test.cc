@@ -46,7 +46,6 @@ double best_mis_seconds(const graph::Graph& g, const graph::Priorities& pri,
     opts.num_threads = 1;
     opts.pin_threads = false;
     opts.pop_batch = 8;
-    opts.pop_batch_auto = true;
     opts.metrics = reg;
     util::Timer timer;
     (void)core::run_parallel_relaxed(problem, pri, opts);

@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 namespace protocol = relax::server::protocol;
@@ -25,7 +26,6 @@ protocol::Request sample_request(protocol::Kind kind) {
   req.kind = kind;
   req.graph_id = 7;
   req.pop_batch = 64;
-  req.pop_batch_auto = true;
   req.audit = true;
   req.seed = 0xfeedface;
   req.backend = "multiqueue-c4";
@@ -48,7 +48,6 @@ TEST(Protocol, RequestRoundTripEveryKind) {
     EXPECT_EQ(got->kind, req.kind);
     EXPECT_EQ(got->graph_id, req.graph_id);
     EXPECT_EQ(got->pop_batch, req.pop_batch);
-    EXPECT_EQ(got->pop_batch_auto, req.pop_batch_auto);
     EXPECT_EQ(got->audit, req.audit);
     EXPECT_EQ(got->seed, req.seed);
     EXPECT_EQ(got->backend, req.backend);
@@ -178,6 +177,44 @@ TEST(Protocol, OldFormatRequestDecodesWithWeightOne) {
     const auto p = protocol::decode_request(partial);
     ASSERT_TRUE(p.has_value()) << "cut " << cut;
     EXPECT_EQ(p->weight, 1u) << "cut " << cut;
+  }
+}
+
+TEST(Protocol, ReservedFlagBitOneIsIgnored) {
+  // Request flags bit 1 once selected adaptive claim sizing. It is now
+  // reserved: a v1 frame that still sets it decodes (the bit is dropped),
+  // and the encoder writes it as 0. Built byte by byte, not via encode(),
+  // so the test pins the documented layout rather than the codec's own.
+  const auto le = [](std::vector<std::uint8_t>& out, std::uint64_t v,
+                     int bytes) {
+    for (int i = 0; i < bytes; ++i)
+      out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+  };
+  for (const std::uint8_t flags : {std::uint8_t{0x02}, std::uint8_t{0x03}}) {
+    std::vector<std::uint8_t> payload = {1, 0, /*kind=*/2, flags};
+    le(payload, 3, 4);       // graph_id
+    le(payload, 16, 4);      // pop_batch
+    le(payload, 0x77, 8);    // id
+    le(payload, 0x1234, 8);  // seed
+    const std::string backend = "spraylist";
+    payload.push_back(static_cast<std::uint8_t>(backend.size()));
+    payload.insert(payload.end(), backend.begin(), backend.end());
+    le(payload, 2, 4);  // weight
+
+    const auto got = protocol::decode_request(payload);
+    ASSERT_TRUE(got.has_value()) << "flags " << int{flags};
+    EXPECT_EQ(got->kind, protocol::Kind::kMatching);
+    EXPECT_EQ(got->audit, (flags & 0x01) != 0);
+    EXPECT_EQ(got->graph_id, 3u);
+    EXPECT_EQ(got->pop_batch, 16u);
+    EXPECT_EQ(got->id, 0x77u);
+    EXPECT_EQ(got->seed, 0x1234u);
+    EXPECT_EQ(got->backend, backend);
+    EXPECT_EQ(got->weight, 2u);
+
+    std::vector<std::uint8_t> wire;
+    protocol::encode(*got, wire);
+    EXPECT_EQ(wire[4 + 3], flags & 0x01) << "bit 1 must be written as 0";
   }
 }
 

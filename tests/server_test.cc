@@ -10,6 +10,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -18,6 +19,8 @@
 #include <thread>
 #include <vector>
 
+#include "algorithms/mis.h"
+#include "graph/generators.h"
 #include "graph/permutation.h"
 #include "obs/metrics.h"
 
@@ -299,6 +302,46 @@ TEST(JobServer, AnswersUndecodablePayloadAndKeepsConnection) {
   ASSERT_TRUE(ok.has_value());
   EXPECT_EQ(ok->id, 11u);
   EXPECT_EQ(ok->status, protocol::Status::kOk);
+  ::close(fd);
+}
+
+TEST(JobServer, ReservedFlagBitOneIsServedAtItsFixedBatch) {
+  // A v1 client may still set request flags bit 1 (it once meant adaptive
+  // claim sizing). The server ignores the bit and runs the request at its
+  // fixed pop_batch — 0 still meaning the server default — with the
+  // sequential outcome.
+  ServerOptions opts = small_server_options();
+  opts.default_pop_batch = 4;
+  const GraphSpec spec = opts.graphs.front();
+  JobServer server(std::move(opts));
+  Serving serving(server);
+  const int fd = dial(server.port());
+  ASSERT_GE(fd, 0);
+  protocol::FrameReader reader;
+
+  const relax::graph::Graph g =
+      relax::graph::gnm(spec.n, spec.m, spec.seed);
+  const auto pri = relax::graph::random_priorities(spec.n, spec.seed + 1);
+  const auto in_mis = relax::algorithms::sequential_greedy_mis(g, pri);
+  const auto mis_size = static_cast<std::uint64_t>(
+      std::count(in_mis.begin(), in_mis.end(), std::uint8_t{1}));
+  ASSERT_GT(mis_size, 0u);
+
+  for (const std::uint32_t pop_batch : {0u, 8u}) {
+    protocol::Request req;
+    req.id = 40 + pop_batch;
+    req.kind = protocol::Kind::kMis;
+    req.pop_batch = pop_batch;
+    std::vector<std::uint8_t> wire;
+    protocol::encode(req, wire);
+    wire[4 + 3] |= 0x02;  // flags byte, just past the length prefix
+    ASSERT_TRUE(send_all(fd, wire));
+    const auto resp = read_response(fd, reader);
+    ASSERT_TRUE(resp.has_value());
+    EXPECT_EQ(resp->id, req.id);
+    EXPECT_EQ(resp->status, protocol::Status::kOk) << resp->message;
+    EXPECT_EQ(resp->processed, mis_size) << "pop_batch " << pop_batch;
+  }
   ::close(fd);
 }
 

@@ -7,8 +7,8 @@ per harness (bench/backend_matrix.cc and bench/steady_state.cc, both via
 previous run's, flagging every cell whose throughput (tasks_per_s)
 dropped by more than --max-drop (default 25%).
 
-Cells are keyed by (workload, backend, threads, pop_batch, pop_batch_auto,
-policy, distribution, numa); policy/distribution are None for
+Cells are keyed by (workload, backend, threads, pop_batch, policy,
+distribution, numa); policy/distribution are None for
 backend_matrix rows, and numa="off" folds into None so pre-topology
 baselines (no numa field) keep matching current flat rows. That keeps
 legacy keys stable while newer rows — which sweep insert policies,
@@ -60,7 +60,6 @@ def cell_key(row):
         row.get("backend"),
         row.get("threads"),
         row.get("pop_batch"),
-        bool(row.get("pop_batch_auto", False)),
         # steady_state axes; None on legacy backend_matrix rows, so old
         # baselines keep producing identical keys.
         row.get("policy"),
@@ -80,9 +79,8 @@ def sort_key(key):
 
 
 def fmt_key(key):
-    workload, backend, threads, batch, auto, policy, dist, numa = key
-    batch_s = f"auto:{batch}" if auto else str(batch)
-    out = f"{workload} x {backend} @ t={threads} batch={batch_s}"
+    workload, backend, threads, batch, policy, dist, numa = key
+    out = f"{workload} x {backend} @ t={threads} batch={batch}"
     if policy is not None:
         out += f" policy={policy}"
     if dist is not None:
@@ -154,7 +152,6 @@ def self_test():
         "backend": "multiqueue-c2",
         "threads": 4,
         "pop_batch": 8,
-        "pop_batch_auto": False,
         "seconds": 0.5,
         "tasks_per_s": 1000.0,
         "iters_per_task": 1.1,

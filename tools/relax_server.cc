@@ -49,10 +49,8 @@ namespace {
       "  --default-weight=<w>     QoS weight for requests that send\n"
       "                           weight 0; old clients without the field\n"
       "                           stay at weight 1 (default 1, max 1024)\n"
-      "  --pop-batch=<k>|auto[:max]\n"
-      "                           default labels per scheduler touch;\n"
-      "                           'auto' adapts per worker up to max\n"
-      "                           (default 1)\n"
+      "  --pop-batch=<k>          default labels per scheduler touch\n"
+      "                           (a positive integer, default 1)\n"
       "  --numa=off|auto|virtual:<K>\n"
       "                           topology-aware placement: pin workers\n"
       "                           socket-by-socket and stripe backends per\n"
@@ -127,8 +125,7 @@ int main(int argc, char** argv) {
   const auto pb =
       relax::server::cli::parse_pop_batch(cli.get_string("pop-batch", "1"));
   if (!pb) return 2;
-  opts.default_pop_batch = pb->batch;
-  opts.default_pop_batch_auto = pb->adaptive;
+  opts.default_pop_batch = *pb;
 
   const auto numa =
       relax::server::cli::parse_numa(cli.get_string("numa", "off"));

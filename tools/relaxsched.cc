@@ -68,13 +68,11 @@ using relax::graph::Graph;
                            (any registry name; see list below)
                                                            [multiqueue-c2]
   --queue-factor=<c>       MultiQueue sub-queues per thread [4]
-  --pop-batch=<k>|auto[:max]  labels claimed per scheduler touch (parallel
+  --pop-batch=<k>          labels claimed per scheduler touch (parallel
                            mode, including --algo=sssp; k>1 amortizes
                            lock/sample cost at an O(k*q) rank-error
-                           envelope; auto adapts per worker between 1 near
-                           drain and the max — 64 unless given — from
-                           claim feedback + global occupancy; 0 and
-                           non-numeric values are rejected)       [1]
+                           envelope; 0 and non-numeric values are
+                           rejected)                              [1]
   --numa=off|auto|virtual:<K>  topology-aware placement (parallel modes,
                            including --algo=sssp): auto discovers sockets
                            from sysfs (flat fallback in containers that
@@ -228,15 +226,14 @@ relax::core::ParallelOptions parallel_opts(
   opts.queue_factor = static_cast<unsigned>(cli.get_int("queue-factor", 4));
   const std::string pop_batch_value = cli.get_string("pop-batch", "1");
   const auto pb = relax::engine::parse_pop_batch_flag(pop_batch_value);
-  if (!pb.valid) {
+  if (!pb) {
     std::fprintf(stderr,
-                 "error: invalid --pop-batch '%s': expected a positive "
-                 "integer, 'auto', or 'auto:<max>'\n\n",
+                 "error: invalid --pop-batch '%s': expected <k>, a positive "
+                 "integer\n\n",
                  pop_batch_value.c_str());
     std::exit(2);
   }
-  opts.pop_batch = pb.batch;
-  opts.pop_batch_auto = pb.adaptive;
+  opts.pop_batch = *pb;
   if (cli.has("k"))
     opts.relaxation_k = static_cast<std::uint32_t>(cli.get_int("k", 0));
   opts.seed = static_cast<std::uint64_t>(cli.get_int("seed", 1));
@@ -440,29 +437,22 @@ int main(int argc, char** argv) {
     const auto weights =
         relax::algorithms::synthetic_edge_weights(g, seed + 3);
     relax::algorithms::SsspStats stats;
-    // One parsing path for --pop-batch (parallel_opts); auto is honored
-    // end to end — SSSP's standalone executor runs the same occupancy-
-    // aware BatchController as the engine jobs.
+    // One parsing path for --pop-batch (parallel_opts).
     const relax::core::ParallelOptions popts = parallel_opts(cli);
     relax::algorithms::SsspOptions sssp_opts;
     sssp_opts.num_threads = popts.num_threads;
     sssp_opts.queue_factor = popts.queue_factor;
     sssp_opts.seed = seed;
     sssp_opts.pop_batch = popts.pop_batch;
-    sssp_opts.pop_batch_auto = popts.pop_batch_auto;
     sssp_opts.topology = popts.topology;
     const auto dist = relax::algorithms::parallel_relaxed_sssp(
         g, weights, 0, sssp_opts, &stats);
     std::printf(
-        "sssp: %.4f s | pops=%llu stale=%llu relaxations=%llu batches=%llu "
-        "claims=[%llu..%llu]%s\n",
+        "sssp: %.4f s | pops=%llu stale=%llu relaxations=%llu batches=%llu\n",
         stats.seconds, static_cast<unsigned long long>(stats.pops),
         static_cast<unsigned long long>(stats.stale_pops),
         static_cast<unsigned long long>(stats.relaxations),
-        static_cast<unsigned long long>(stats.batches),
-        static_cast<unsigned long long>(stats.min_claim),
-        static_cast<unsigned long long>(stats.max_claim),
-        sssp_opts.pop_batch_auto ? " (adaptive)" : "");
+        static_cast<unsigned long long>(stats.batches));
     if (cli.get_bool("verify", true)) {
       if (dist != relax::algorithms::dijkstra(g, weights, 0)) {
         std::fprintf(stderr, "VERIFY FAILED vs Dijkstra\n");
